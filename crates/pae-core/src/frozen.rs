@@ -28,7 +28,7 @@ use crate::cleaning::{freeze_semantic, SemanticFreeze};
 use crate::config::{PipelineConfig, TaggerKind};
 use crate::corpus::{Corpus, PosBackend};
 use crate::quality::{PageObservation, ReferenceBuilder, ReferenceStats};
-use crate::tagger::{extract_candidates, TrainedTagger};
+use crate::tagger::{decode_scored_spans, extract_candidates, TrainedTagger};
 use crate::trainset::{decode_spans, generate_training_set, LabelSpace};
 use crate::types::Triple;
 
@@ -425,8 +425,10 @@ fn decode_sentences(
 /// candidate triples (the labels come from
 /// [`TrainedTagger::tag_scored`], which decodes exactly as
 /// [`TrainedTagger::tag`]), plus the mean token confidence of each
-/// decoded span appended to `confidences` in decode order. Confidence
-/// is observational only — it never affects what is extracted.
+/// decoded span appended to `confidences` in decode order, one per
+/// span. Sentences without a span add nothing, and the CRF skips their
+/// forward–backward. Confidence is observational only — it never
+/// affects what is extracted.
 fn decode_sentences_observed(
     tagger: &TrainedTagger,
     product: u32,
@@ -441,14 +443,7 @@ fn decode_sentences_observed(
             continue;
         }
         let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-        let (labels, scores) = tagger.tag_scored(&words, &pos, sent_idx);
-        for (attr, range) in decode_spans(&labels, space) {
-            let span = &scores[range.clone()];
-            let conf = if span.is_empty() {
-                0.0
-            } else {
-                span.iter().sum::<f64>() / span.len() as f64
-            };
+        for (attr, range, conf) in decode_scored_spans(tagger, &words, &pos, sent_idx, space) {
             confidences.push(conf);
             let value = words[range].join(" ");
             out.push(Triple::new(product, space.attrs()[attr].clone(), value));
@@ -771,6 +766,58 @@ mod tests {
         assert!(!one.is_empty());
     }
 
+    /// Per backend, the span confidences of a page computed the
+    /// ungated way: forward–backward on every sentence, then the mean
+    /// over each decoded span.
+    fn ungated_span_confidences(extractor: &FrozenExtractor, html: &str) -> Vec<Vec<f64>> {
+        let sentences = extractor.page_sentences(html);
+        let arms: Vec<&TrainedTagger> = match &extractor.backend {
+            ExtractBackend::One(t) => vec![t],
+            ExtractBackend::Ensemble(a, b) => vec![a, b],
+        };
+        arms.iter()
+            .map(|tagger| {
+                let mut confs = Vec::new();
+                for (sent_idx, sentence) in sentences.iter().enumerate() {
+                    let words: Vec<String> = sentence.words().map(str::to_owned).collect();
+                    if words.is_empty() {
+                        continue;
+                    }
+                    let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
+                    let (labels, scores) = tagger.tag_scored(&words, &pos, sent_idx, |_| true);
+                    assert_eq!(labels, tagger.tag(&words, &pos, sent_idx));
+                    for (_, range) in decode_spans(&labels, &extractor.space) {
+                        confs.push(scores[range.clone()].iter().sum::<f64>() / range.len() as f64);
+                    }
+                }
+                confs
+            })
+            .collect()
+    }
+
+    /// The observed path returns the plain path's triples, and one
+    /// confidence per decoded span per backend, bit for bit what
+    /// forward–backward over every sentence gives.
+    fn assert_observation_pins(extractor: &FrozenExtractor, pages: &[pae_synth::ProductPage]) {
+        for page in pages {
+            let (observed, obs) = extractor.extract_page_observed(page.id, &page.html);
+            assert_eq!(observed, extractor.extract_page(page.id, &page.html));
+            let expected = ungated_span_confidences(extractor, &page.html);
+            assert_eq!(obs.confidences.len(), expected.len());
+            for (got, want) in obs.confidences.iter().zip(&expected) {
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "page {}", page.id);
+            }
+        }
+    }
+
+    #[test]
+    fn observed_confidences_cover_exactly_the_decoded_spans() {
+        let (dataset, _, model) = frozen_fixture();
+        let extractor = model.extractor().unwrap();
+        assert_observation_pins(&extractor, &dataset.pages[..24]);
+    }
+
     #[test]
     fn observed_extraction_is_byte_identical_to_plain() {
         let (dataset, _, model) = frozen_fixture();
@@ -848,6 +895,7 @@ mod tests {
             let extractor = model.extractor().expect("rehydrate");
             // Must at least run without error on a page.
             let _ = extractor.extract_page(dataset.pages[0].id, &dataset.pages[0].html);
+            assert_observation_pins(&extractor, &dataset.pages[..8]);
         }
     }
 

@@ -5,6 +5,7 @@
 #![allow(clippy::large_enum_variant)]
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use pae_crf::data::FeatId;
 use pae_crf::{CrfModel, ExtractScratch, FeatureExtractor, FeatureIndex, Instance};
@@ -258,14 +259,21 @@ impl TrainedTagger {
     /// CRF's posterior marginal of the decoded label (forward–backward)
     /// or the RNN's softmax probability of the argmax.
     ///
+    /// `want` is asked whether the decoded labels need confidence at
+    /// all. The CRF runs forward–backward only when it says yes and
+    /// otherwise returns an empty confidence vector. The RNN ignores
+    /// it, since its softmax confidence comes with the prediction.
+    ///
     /// The labels are exactly [`tag`](Self::tag)'s output — confidence
-    /// is a read-only overlay used by the provenance subsystem and must
-    /// never feed back into what gets extracted.
+    /// is a read-only overlay used by the provenance subsystem and the
+    /// quality monitor, and must never feed back into what gets
+    /// extracted.
     pub fn tag_scored(
         &self,
         words: &[String],
         pos: &[PosTag],
         sent_idx: usize,
+        want: impl FnOnce(&[usize]) -> bool,
     ) -> (Vec<usize>, Vec<f64>) {
         match self {
             TrainedTagger::Crf {
@@ -276,7 +284,7 @@ impl TrainedTagger {
                 let w: Vec<&str> = words.iter().map(String::as_str).collect();
                 let p: Vec<&str> = pos.iter().map(|t| t.mnemonic()).collect();
                 let feats = extractor.encode(&w, &p, sent_idx, index);
-                model.viterbi_with_confidence(&feats)
+                model.viterbi_with_confidence(&feats, want)
             }
             TrainedTagger::Rnn { model } => {
                 let (labels, confidence) = model.predict_with_confidence(words);
@@ -284,6 +292,31 @@ impl TrainedTagger {
             }
         }
     }
+}
+
+/// Tags one sentence and decodes it into `(attribute, token range,
+/// confidence)` spans, in sentence order. A span's confidence is the
+/// mean per-token confidence over its tokens (see
+/// [`TrainedTagger::tag_scored`]); the CRF computes it only for
+/// sentences that decode to at least one span.
+pub(crate) fn decode_scored_spans(
+    tagger: &TrainedTagger,
+    words: &[String],
+    pos: &[PosTag],
+    sent_idx: usize,
+    space: &LabelSpace,
+) -> Vec<(usize, Range<usize>, f64)> {
+    let (labels, scores) = tagger.tag_scored(words, pos, sent_idx, |labels| {
+        !decode_spans(labels, space).is_empty()
+    });
+    decode_spans(&labels, space)
+        .into_iter()
+        .map(|(attr, range)| {
+            // Decoded spans are never empty.
+            let conf = scores[range.clone()].iter().sum::<f64>() / range.len() as f64;
+            (attr, range, conf)
+        })
+        .collect()
 }
 
 /// Runs the tagger over every sentence of the corpus and decodes the
@@ -342,10 +375,9 @@ pub fn extract_candidates_scored(
                 continue;
             }
             let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-            let (labels, confidence) = tagger.tag_scored(&words, &pos, sent_idx);
-            for (attr, range) in decode_spans(&labels, space) {
-                let span_conf =
-                    confidence[range.clone()].iter().sum::<f64>() / range.len().max(1) as f64;
+            for (attr, range, span_conf) in
+                decode_scored_spans(tagger, &words, &pos, sent_idx, space)
+            {
                 let value = words[range].join(" ");
                 local.push((
                     Triple::new(product.id, space.attrs()[attr].clone(), value),

@@ -158,6 +158,15 @@ fn ensure(v: &mut Vec<f64>, n: usize) {
     }
 }
 
+/// Emission scores of every position into `em[t*l + y]`; `em` must
+/// hold at least `n·l` elements.
+fn emissions_into<S: FeatureSeq + ?Sized>(view: ParamsView<'_>, features: &S, em: &mut [f64]) {
+    let l = view.n_labels;
+    for t in 0..features.n_positions() {
+        view.emission_scores(features.feats(t), &mut em[t * l..(t + 1) * l]);
+    }
+}
+
 /// Forward pass into caller-provided buffers, returning `log Z`. The
 /// flat-layout half of [`marginals_into`], exposed separately so a
 /// line search can compute objective *values* (which need only `log Z`)
@@ -172,15 +181,24 @@ pub fn forward_into<S: FeatureSeq + ?Sized>(
     alpha: &mut [f64],
     tmp: &mut [f64],
 ) -> f64 {
-    let n = features.n_positions();
+    emissions_into(view, features, em);
+    alpha_into(view, features.n_positions(), em, alpha, tmp)
+}
+
+/// The forward recursion of [`forward_into`] over emissions already in
+/// `em`, returning `log Z`.
+fn alpha_into(
+    view: ParamsView<'_>,
+    n: usize,
+    em: &[f64],
+    alpha: &mut [f64],
+    tmp: &mut [f64],
+) -> f64 {
     let l = view.n_labels;
     if n == 0 {
         return 0.0;
     }
-    let em = &mut em[..n * l];
-    for t in 0..n {
-        view.emission_scores(features.feats(t), &mut em[t * l..(t + 1) * l]);
-    }
+    let em = &em[..n * l];
     let alpha = &mut alpha[..n * l];
     let tmp = &mut tmp[..l];
     for y in 0..l {
@@ -226,20 +244,8 @@ impl MargScratch {
         }
         let em = &em[..n * l];
         let alpha = &alpha[..n * l];
-        let tmp = &mut self.tmp[..l];
-        let beta = &mut self.beta[..n * l];
-        for y in 0..l {
-            beta[(n - 1) * l + y] = view.end(y);
-        }
-        for t in (0..n - 1).rev() {
-            for y in 0..l {
-                for (q, s) in tmp.iter_mut().enumerate() {
-                    *s = view.transition(y, q) + em[(t + 1) * l + q] + beta[(t + 1) * l + q];
-                }
-                beta[t * l + y] = log_sum_exp(tmp);
-            }
-        }
-
+        backward_into(view, n, em, &mut self.beta, &mut self.tmp);
+        let beta = &self.beta[..n * l];
         let node = &mut self.node[..n * l];
         for t in 0..n {
             for y in 0..l {
@@ -258,6 +264,29 @@ impl MargScratch {
                     edge[(t - 1) * l * l + p * l + q] = s.exp();
                 }
             }
+        }
+    }
+}
+
+/// The backward recursion in the flat layout: `beta[t*l + y]` as in the
+/// nested [`backward`], bitwise-identical. `beta` must hold at least
+/// `n·l` elements, `tmp` at least `l`.
+fn backward_into(view: ParamsView<'_>, n: usize, em: &[f64], beta: &mut [f64], tmp: &mut [f64]) {
+    let l = view.n_labels;
+    if n == 0 {
+        return;
+    }
+    let tmp = &mut tmp[..l];
+    let beta = &mut beta[..n * l];
+    for y in 0..l {
+        beta[(n - 1) * l + y] = view.end(y);
+    }
+    for t in (0..n - 1).rev() {
+        for y in 0..l {
+            for (q, s) in tmp.iter_mut().enumerate() {
+                *s = view.transition(y, q) + em[(t + 1) * l + q] + beta[(t + 1) * l + q];
+            }
+            beta[t * l + y] = log_sum_exp(tmp);
         }
     }
 }
@@ -288,29 +317,45 @@ pub fn marginals_into<S: FeatureSeq + ?Sized>(
     scratch.alpha = alpha;
 }
 
-/// Viterbi decoding plus per-token posterior confidence: the decoded
-/// label sequence and, for each position `t`, the forward–backward
-/// marginal `P(y_t = ŷ_t | x)` of the decoded label.
+/// Viterbi decoding plus, when `want` accepts the decoded labels,
+/// per-token posterior confidence: the forward–backward marginal
+/// `P(y_t = ŷ_t | x)` of the decoded label at each position `t`.
 ///
-/// The labels are exactly [`viterbi`]'s output; the confidences are a
-/// read-only overlay (`exp(alpha[t][ŷ] + beta[t][ŷ] − log Z)`), so
-/// scoring a decode can never change it. A confidence near 1 means the
+/// The emissions are computed once, into a flat buffer, and shared by
+/// Viterbi and forward–backward. Forward–backward runs only when
+/// `want(&labels)` returns true; otherwise the confidence vector is
+/// empty. Callers that read confidence only for decoded spans pass a
+/// predicate that asks whether the labels contain one, and so skip the
+/// marginals of every sentence that decodes to nothing.
+///
+/// The labels are exactly [`viterbi`]'s output, whatever `want` says;
+/// the confidences are a read-only overlay, bitwise-identical to
+/// [`marginals`]`(..).node[t][ŷ_t]`. A confidence near 1 means the
 /// whole posterior mass agrees with the Viterbi path at that token;
 /// values near `1/n_labels` flag tokens the model was guessing on.
 pub fn viterbi_with_confidence<S: FeatureSeq + ?Sized>(
     model: &CrfModel,
     features: &S,
+    want: impl FnOnce(&[LabelId]) -> bool,
 ) -> (Vec<LabelId>, Vec<f64>) {
-    let labels = viterbi(model, features);
-    if labels.is_empty() {
+    let view = model.view();
+    let n = features.n_positions();
+    let l = model.n_labels;
+    let mut em = vec![0.0; n * l];
+    emissions_into(view, features, &mut em);
+    let labels = viterbi_from_emissions(view, n, &em);
+    if !want(&labels) {
         return (labels, Vec::new());
     }
-    let fwd = forward(model, features);
-    let beta = backward(model, &fwd.emissions);
+    let mut alpha = vec![0.0; n * l];
+    let mut beta = vec![0.0; n * l];
+    let mut tmp = vec![0.0; l];
+    let log_z = alpha_into(view, n, &em, &mut alpha, &mut tmp);
+    backward_into(view, n, &em, &mut beta, &mut tmp);
     let confidence = labels
         .iter()
         .enumerate()
-        .map(|(t, &y)| (fwd.alpha[t][y] + beta[t][y] - fwd.log_z).exp())
+        .map(|(t, &y)| (alpha[t * l + y] + beta[t * l + y] - log_z).exp())
         .collect();
     (labels, confidence)
 }
@@ -319,37 +364,41 @@ pub fn viterbi_with_confidence<S: FeatureSeq + ?Sized>(
 pub fn viterbi<S: FeatureSeq + ?Sized>(model: &CrfModel, features: &S) -> Vec<LabelId> {
     let view = model.view();
     let n = features.n_positions();
-    let l = model.n_labels;
+    let mut em = vec![0.0; n * model.n_labels];
+    emissions_into(view, features, &mut em);
+    viterbi_from_emissions(view, n, &em)
+}
+
+/// Viterbi over emissions already in `em[t*l + y]`.
+fn viterbi_from_emissions(view: ParamsView<'_>, n: usize, em: &[f64]) -> Vec<LabelId> {
+    let l = view.n_labels;
     if n == 0 {
         return Vec::new();
     }
-    let mut emission = vec![0.0; l];
-    let mut delta = vec![vec![f64::NEG_INFINITY; l]; n];
-    let mut back = vec![vec![0usize; l]; n];
-    view.emission_scores(features.feats(0), &mut emission);
+    let mut delta = vec![f64::NEG_INFINITY; n * l];
+    let mut back = vec![0usize; n * l];
     for y in 0..l {
-        delta[0][y] = view.start(y) + emission[y];
+        delta[y] = view.start(y) + em[y];
     }
     for t in 1..n {
-        view.emission_scores(features.feats(t), &mut emission);
         for y in 0..l {
             let mut best = f64::NEG_INFINITY;
             let mut arg = 0;
             for p in 0..l {
-                let s = delta[t - 1][p] + view.transition(p, y);
+                let s = delta[(t - 1) * l + p] + view.transition(p, y);
                 if s > best {
                     best = s;
                     arg = p;
                 }
             }
-            delta[t][y] = best + emission[y];
-            back[t][y] = arg;
+            delta[t * l + y] = best + em[t * l + y];
+            back[t * l + y] = arg;
         }
     }
     let mut last = 0;
     let mut best = f64::NEG_INFINITY;
     for y in 0..l {
-        let s = delta[n - 1][y] + view.end(y);
+        let s = delta[(n - 1) * l + y] + view.end(y);
         if s > best {
             best = s;
             last = y;
@@ -359,7 +408,7 @@ pub fn viterbi<S: FeatureSeq + ?Sized>(model: &CrfModel, features: &S) -> Vec<La
     let mut cur = last;
     for t in (0..n).rev() {
         out[t] = cur;
-        cur = back[t][cur];
+        cur = back[t * l + cur];
     }
     out
 }
@@ -504,7 +553,7 @@ mod tests {
     fn decode_confidence_is_the_posterior_of_the_decoded_label() {
         let m = toy_model();
         let feats = vec![vec![0], vec![1], vec![0]];
-        let (labels, confidence) = viterbi_with_confidence(&m, &feats);
+        let (labels, confidence) = viterbi_with_confidence(&m, &feats, |_| true);
         assert_eq!(labels, viterbi(&m, &feats), "decode unchanged by scoring");
         assert_eq!(confidence.len(), labels.len());
         let marg = marginals(&m, &feats);
@@ -516,8 +565,15 @@ mod tests {
                 marg.node[t][y]
             );
         }
-        let (empty_labels, empty_conf) = viterbi_with_confidence(&m, &[] as &[Vec<FeatId>]);
+        let (empty_labels, empty_conf) =
+            viterbi_with_confidence(&m, &[] as &[Vec<FeatId>], |_| true);
         assert!(empty_labels.is_empty() && empty_conf.is_empty());
+        let (skipped_labels, skipped_conf) = viterbi_with_confidence(&m, &feats, |_| false);
+        assert_eq!(
+            skipped_labels, labels,
+            "the predicate never changes the decode"
+        );
+        assert!(skipped_conf.is_empty(), "rejected labels get no confidence");
     }
 
     #[test]

@@ -205,10 +205,15 @@ impl CrfModel {
         inference::viterbi(self, features)
     }
 
-    /// Viterbi decode plus the posterior marginal of each decoded
-    /// label (see [`inference::viterbi_with_confidence`]).
-    pub fn viterbi_with_confidence(&self, features: &[Vec<FeatId>]) -> (Vec<LabelId>, Vec<f64>) {
-        inference::viterbi_with_confidence(self, features)
+    /// Viterbi decode plus, when `want` accepts the labels, the
+    /// posterior marginal of each decoded label (see
+    /// [`inference::viterbi_with_confidence`]).
+    pub fn viterbi_with_confidence(
+        &self,
+        features: &[Vec<FeatId>],
+        want: impl FnOnce(&[LabelId]) -> bool,
+    ) -> (Vec<LabelId>, Vec<f64>) {
+        inference::viterbi_with_confidence(self, features, want)
     }
 
     /// Log-partition function of the sequence.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pae_crf::data::{CsrInstances, FeatureSeq, Instance};
-use pae_crf::inference::{marginals, viterbi};
+use pae_crf::inference::{marginals, viterbi, viterbi_with_confidence};
 use pae_crf::CrfModel;
 
 /// Builds a model with the given parameters (length must match).
@@ -41,8 +41,59 @@ fn model_and_features() -> impl Strategy<Value = (CrfModel, Vec<Vec<u32>>)> {
     })
 }
 
+/// Strategy: a small random model + a feature sequence of 0 to 8
+/// positions (the empty sentence included), for decode pins.
+fn decode_case() -> impl Strategy<Value = (CrfModel, Vec<Vec<u32>>)> {
+    (2usize..6, 2usize..6).prop_flat_map(|(n_features, n_labels)| {
+        let dim = CrfModel::param_len(n_features, n_labels);
+        let params = proptest::collection::vec(-3.0..3.0f64, dim);
+        let feats = proptest::collection::vec(
+            proptest::collection::vec(0u32..n_features as u32, 0..n_features),
+            0..9,
+        );
+        (params, feats).prop_map(move |(p, f)| (model(n_features, n_labels, p), f))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The confidence decode pins to the reference kernels: its labels
+    /// are `viterbi`'s whatever the predicate answers, the predicate
+    /// sees exactly those labels once, every confidence is bit for bit
+    /// the nested `marginals(..).node[t][ŷ_t]`, and a rejecting
+    /// predicate gets no confidence at all (forward–backward skipped).
+    #[test]
+    fn confidence_decode_pins_to_viterbi_and_marginals(
+        (m, feats) in decode_case(),
+        accept in 0u32..2,
+    ) {
+        let accept = accept == 1;
+        let expected = viterbi(&m, &feats);
+        let mut seen = Vec::new();
+        let (labels, confidence) = viterbi_with_confidence(&m, &feats, |l| {
+            seen.push(l.to_vec());
+            accept
+        });
+        prop_assert_eq!(&labels, &expected);
+        prop_assert_eq!(seen, vec![expected.clone()]);
+        if !accept {
+            prop_assert!(confidence.is_empty(), "rejected labels got confidence");
+            return;
+        }
+        prop_assert_eq!(confidence.len(), labels.len());
+        let marg = marginals(&m, &feats);
+        for (t, (&y, &c)) in labels.iter().zip(&confidence).enumerate() {
+            prop_assert_eq!(
+                c.to_bits(),
+                marg.node[t][y].to_bits(),
+                "confidence[{}] = {} vs marginal {}",
+                t,
+                c,
+                marg.node[t][y]
+            );
+        }
+    }
 
     /// log Z must upper-bound the score of every labelling, and the
     /// Viterbi labelling must score at least as high as random ones.

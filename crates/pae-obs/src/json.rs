@@ -1,7 +1,13 @@
 //! Minimal JSON support: an escaping writer used by the JSONL exporter
-//! and a recursive-descent parser used by the trace checker tests. Both
-//! are deliberately tiny — the workspace has no serde and the trace
-//! schema is flat.
+//! and the `/extract` response renderer, and a recursive-descent parser.
+//! Both are deliberately tiny — the workspace has no serde.
+//!
+//! The parser reads untrusted input: `pae-serve` parses every `/extract`
+//! request body with it, besides trace lines and report documents.
+//! Its cost is linear in the input length (string literals are copied
+//! run by run, not scalar by scalar), and malformed input is an `Err`,
+//! never a panic. Nesting depth is not capped: each `[` or `{` costs one
+//! stack frame.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -159,13 +165,24 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash in one go.
+        // Both are ASCII, so the run starts and ends on char boundaries
+        // and the whole parse stays linear in the input length.
+        let start = *pos;
+        let run = b[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .unwrap_or(b.len() - start);
+        *pos += run;
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: one escape sequence.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -188,13 +205,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -303,5 +313,53 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("tru").is_err());
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages() {
+        assert_eq!(
+            Json::parse("\"unterminated"),
+            Err("unterminated string".to_owned())
+        );
+        assert_eq!(
+            Json::parse("{\"k\":\"ab\\"),
+            Err("bad escape at byte 9".to_owned())
+        );
+        assert_eq!(
+            Json::parse("\"a\\q\""),
+            Err("bad escape at byte 3".to_owned())
+        );
+        assert_eq!(Json::parse("[\"\\"), Err("bad escape at byte 3".to_owned()));
+        assert_eq!(
+            Json::parse("\"\\u12\""),
+            Err("truncated \\u escape".to_owned())
+        );
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_text_and_escapes() {
+        let v = Json::parse("\"日本語 \\\"é\\\" 🦀\\u00e9\\n\u{1}tail\"").unwrap();
+        assert_eq!(v.as_str(), Some("日本語 \"é\" 🦀é\n\u{1}tail"));
+    }
+
+    #[test]
+    fn long_string_literal_parses_in_linear_time() {
+        // A quadratic scan takes minutes on a megabyte; a linear one
+        // takes milliseconds even without optimisations.
+        let body = "é".repeat(1 << 19);
+        let doc = format!("{{\"pages\":[{{\"html\":\"{body}\"}}]}}");
+        assert!(doc.len() > 1 << 20);
+        let t = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let elapsed = t.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MB literal took {elapsed:?}"
+        );
+        let html = v.get("pages").and_then(|p| match p {
+            Json::Arr(items) => items[0].get("html").and_then(Json::as_str),
+            _ => None,
+        });
+        assert_eq!(html, Some(body.as_str()));
     }
 }

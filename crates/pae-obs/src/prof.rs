@@ -38,9 +38,12 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static FREE_BYTES: AtomicU64 = AtomicU64::new(0);
 static FREE_COUNT: AtomicU64 = AtomicU64::new(0);
-// Live bytes can dip below zero when profiling is enabled after some
-// allocations were already made (their frees are counted, the allocs
-// were not), so it is signed; reports clamp at zero.
+// Live bytes and their high-water mark restart from zero each time
+// profiling is switched on. Frees of blocks allocated while profiling
+// was off are counted, their allocs were not, so a free clamps live
+// bytes at zero instead of letting them go negative: live bytes then
+// never exceed the true footprint of the blocks allocated since enable,
+// and an allocation of `n` bytes always lifts the peak to at least `n`.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 // High-water mark of sampled RSS (see [`RssSampler`]); 0 = never sampled.
@@ -55,11 +58,17 @@ thread_local! {
     static T_PEAK_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Turns allocation profiling on or off (off by default).
+/// Turns allocation profiling on or off (off by default). Switching it
+/// on restarts live bytes and their high-water mark from zero; the
+/// cumulative alloc/free totals keep counting.
 ///
 /// Binaries honor `PAE_PROF=1` / `--profile`; see
 /// [`TraceSession::from_parts`](crate::TraceSession::from_parts).
 pub fn set_prof_enabled(on: bool) {
+    if on && !PROF_ENABLED.load(Relaxed) {
+        LIVE_BYTES.store(0, Relaxed);
+        PEAK_LIVE_BYTES.store(0, Relaxed);
+    }
     PROF_ENABLED.store(on, Relaxed);
 }
 
@@ -91,7 +100,7 @@ fn on_dealloc(size: usize) {
     let b = size as u64;
     FREE_BYTES.fetch_add(b, Relaxed);
     FREE_COUNT.fetch_add(1, Relaxed);
-    LIVE_BYTES.fetch_sub(size as i64, Relaxed);
+    let _ = LIVE_BYTES.fetch_update(Relaxed, Relaxed, |live| Some((live - size as i64).max(0)));
     let _ = T_LIVE_BYTES.try_with(|c| c.set(c.get() - size as i64));
 }
 
@@ -155,10 +164,12 @@ pub struct ProfStats {
     pub free_bytes: u64,
     /// Total deallocation calls since profiling began.
     pub free_count: u64,
-    /// Currently live bytes (may be negative: frees of blocks allocated
-    /// before profiling was enabled are counted, their allocs were not).
+    /// Bytes live since profiling was last switched on. Never negative:
+    /// frees of blocks allocated before that are counted, their allocs
+    /// were not, so they can only bring this down to zero.
     pub live_bytes: i64,
-    /// High-water mark of live bytes (clamped at zero).
+    /// High-water mark of `live_bytes` since profiling was last
+    /// switched on.
     pub peak_live_bytes: u64,
     /// High-water mark of sampled RSS (0 = no [`RssSampler`] ran).
     pub sampled_peak_rss_bytes: u64,
@@ -278,7 +289,8 @@ pub struct MemReport {
     pub total_alloc_bytes: u64,
     /// Allocation calls during the session.
     pub alloc_count: u64,
-    /// Live-bytes high-water mark at session end.
+    /// Live-bytes high-water mark since profiling was switched on
+    /// (see [`ProfStats::peak_live_bytes`]).
     pub peak_live_bytes: u64,
 }
 
